@@ -9,6 +9,9 @@
 //! asserts the outputs are bit-identical before timing, and writes the
 //! speedups to `BENCH_iteration.json` (path overridable via
 //! `RAIN_BENCH_JSON`), which CI uploads as the loop's bench trajectory.
+//! The memo section times memoized against plain refresh, and the encode
+//! section times the Holistic encode's model kernels (trait default vs
+//! batched override).
 
 use rain_bench::BenchGroup;
 use rain_core::prelude::*;
@@ -81,6 +84,7 @@ fn bench_iteration() {
                 queries: &f.queries,
                 influence: &influence,
                 sqlstep: &sqlstep,
+                threads: 0,
             };
             rank(method, &ctx).unwrap()
         });
@@ -307,10 +311,140 @@ fn bench_memo(json: &mut String) {
     ));
 }
 
+/// A classifier that forwards only the required [`Classifier`] methods to
+/// the wrapped model, so every batched kernel runs the trait's generic
+/// per-row default — the baseline the closed-form overrides are gated
+/// against.
+#[derive(Clone)]
+struct TraitDefaults(LogisticRegression);
+
+impl Classifier for TraitDefaults {
+    fn n_classes(&self) -> usize {
+        self.0.n_classes()
+    }
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn n_params(&self) -> usize {
+        self.0.n_params()
+    }
+    fn params(&self) -> &[f64] {
+        self.0.params()
+    }
+    fn set_params(&mut self, p: &[f64]) {
+        self.0.set_params(p)
+    }
+    fn l2(&self) -> f64 {
+        self.0.l2()
+    }
+    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+        self.0.predict_proba(x)
+    }
+    fn example_loss(&self, x: &[f64], y: usize) -> f64 {
+        self.0.example_loss(x, y)
+    }
+    fn example_grad_into(&self, x: &[f64], y: usize, out: &mut [f64]) {
+        self.0.example_grad_into(x, y, out)
+    }
+    fn hvp(&self, data: &rain_model::Dataset, v: &[f64]) -> Vec<f64> {
+        self.0.hvp(data, v)
+    }
+    fn grad_proba(&self, x: &[f64], class: usize) -> Vec<f64> {
+        self.0.grad_proba(x, class)
+    }
+    fn clone_box(&self) -> Box<dyn Classifier> {
+        Box::new(self.clone())
+    }
+    fn name(&self) -> &'static str {
+        "logistic-trait-defaults"
+    }
+}
+
+/// The Holistic encode's two model kernels at DBLP scale (40 000
+/// prediction variables — both queries of the end-to-end DBLP debug
+/// workload — over 17 features): class probabilities and the
+/// vector–Jacobian product `Σ adj·∇θ p`, each through the trait's
+/// per-row default and through the logistic model's batched override, on
+/// one thread. Asserts the two agree (probabilities bit for bit, the VJP
+/// within 1e-12 relative) before timing, and appends an `encode` section
+/// to `BENCH_iteration.json`; `encode.speedup` (default VJP ÷ batched
+/// VJP) is gated by `bench_floors.json`.
+fn bench_encode(json: &mut String) {
+    let quick = rain_bench::is_quick();
+    const ROWS: usize = 40_000;
+    let w = DblpConfig {
+        n_train: 400,
+        n_query: ROWS / 2,
+        ..Default::default()
+    }
+    .generate(42);
+    let mut model = LogisticRegression::new(17, 0.01);
+    train_lbfgs(&mut model, &w.train, &Default::default());
+    let defaults = TraitDefaults(model.clone());
+    // Both copies of the query table, as the self-join workload binds them.
+    let x = w.query.features().vstack(w.query.features());
+    assert_eq!(x.rows(), ROWS);
+    let c = model.n_classes();
+    let mut rng = RainRng::seed_from_u64(0xE4C0);
+    let adj: Vec<f64> = (0..ROWS * c).map(|_| rng.normal()).collect();
+
+    let probs = |m: &dyn Classifier| {
+        let mut out = vec![0.0; ROWS * c];
+        m.predict_proba_range_into(&x, 0, &mut out);
+        out
+    };
+    let vjp = |m: &dyn Classifier| {
+        let mut out = vec![0.0; m.n_params()];
+        m.vjp_proba_range(&x, 0, &adj, &mut out);
+        out
+    };
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        bits(probs(&defaults)),
+        bits(probs(&model)),
+        "encode: probabilities"
+    );
+    let (slow, fast) = (vjp(&defaults), vjp(&model));
+    let scale = rain_linalg::vecops::norm_inf(&slow);
+    for (a, b) in slow.iter().zip(&fast) {
+        assert!((a - b).abs() <= 1e-12 * scale, "encode: vjp {a} vs {b}");
+    }
+
+    let samples = if quick { 5 } else { 30 };
+    let mut g = BenchGroup::new("iteration_encode", samples);
+    g.bench("probs_default", || probs(&defaults));
+    g.bench("probs_batched", || probs(&model));
+    g.bench("vjp_default", || vjp(&defaults));
+    g.bench("vjp_batched", || vjp(&model));
+    g.finish();
+
+    let ms = |name: &str| g.median_secs(name).unwrap() * 1e3;
+    let (pd, pb, vd, vb) = (
+        ms("probs_default"),
+        ms("probs_batched"),
+        ms("vjp_default"),
+        ms("vjp_batched"),
+    );
+    println!(
+        "encode vjp speedup: {:.2}x (default {vd:.3} ms → batched {vb:.3} ms); \
+         probabilities {:.2}x ({pd:.3} ms → {pb:.3} ms)",
+        vd / vb,
+        pd / pb
+    );
+    json.push_str(&format!(
+        ",\n  \"encode\": {{ \"rows\": {ROWS}, \"vjp_default_ms\": {vd:.6}, \
+         \"vjp_batched_ms\": {vb:.6}, \"speedup\": {:.3}, \"probs_default_ms\": {pd:.6}, \
+         \"probs_batched_ms\": {pb:.6}, \"probs_speedup\": {:.3} }}",
+        vd / vb,
+        pd / pb
+    ));
+}
+
 fn main() {
     bench_iteration();
     let mut json = bench_incremental();
     bench_memo(&mut json);
+    bench_encode(&mut json);
     json.push_str("\n}\n");
     let path =
         std::env::var("RAIN_BENCH_JSON").unwrap_or_else(|_| "BENCH_iteration.json".to_string());

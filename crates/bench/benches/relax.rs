@@ -1,5 +1,6 @@
 //! Relaxed-provenance benches: evaluating and differentiating the
-//! polynomials Holistic builds, at COUNT-over-join scale.
+//! polynomials Holistic builds, at COUNT-over-join scale, over the dense
+//! row-major `Probs` / `ProbGrad` layout.
 
 use rain_bench::BenchGroup;
 use rain_linalg::RainRng;
@@ -20,20 +21,14 @@ fn join_count_cell(n_left: usize, n_right: usize) -> (CellProv, Probs) {
         }
     }
     let mut rng = RainRng::seed_from_u64(42);
-    let p = (0..n_left + n_right)
-        .map(|_| {
-            let mut row = vec![0.0; 10];
-            let hot = rng.below(10);
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = if c == hot { 0.82 } else { 0.02 };
-            }
-            row
-        })
-        .collect();
-    (
-        CellProv::Sum(std::sync::Arc::new(AggSum { terms })),
-        Probs { p },
-    )
+    let mut probs = Probs::new(10, vec![0.0; (n_left + n_right) * 10]);
+    for var in 0..n_left + n_right {
+        let hot = rng.below(10);
+        for (c, v) in probs.row_mut(var).iter_mut().enumerate() {
+            *v = if c == hot { 0.82 } else { 0.02 };
+        }
+    }
+    (CellProv::Sum(std::sync::Arc::new(AggSum { terms })), probs)
 }
 
 fn bench_relax() {

@@ -363,6 +363,7 @@ impl DebugSession {
                 queries: &self.queries,
                 influence: &self.influence,
                 sqlstep: &sqlstep,
+                threads: cfg.threads,
             };
             let rank_span = rain_obs::Span::enter("rank");
             let ranking = match rank(method, &ctx) {

@@ -9,14 +9,14 @@
 //! inverse-Hessian solve and per-record scoring.
 
 use crate::complaint::QuerySpec;
-use crate::qfunc::{prob_grad_to_theta, probs_for, q_value_and_prob_grad};
+use crate::qfunc::{holistic_grad, prob_grad_to_theta};
 use crate::twostep::{sql_step, SqlStep, SqlStepConfig};
 use rain_influence::{
     inverse_hvp, rank_descending, score_records, self_influence_scores, InfluenceConfig,
     RankedRecord,
 };
 use rain_model::{Classifier, Dataset};
-use rain_sql::{Database, QueryOutput};
+use rain_sql::{Database, ProbGrad, QueryOutput};
 use std::time::Instant;
 
 /// Which debugging method to run.
@@ -86,6 +86,9 @@ pub struct RankContext<'a> {
     pub influence: &'a InfluenceConfig,
     /// TwoStep SQL-step settings.
     pub sqlstep: &'a SqlStepConfig,
+    /// Worker budget for the encode kernels (`0` = auto, `1` =
+    /// sequential); `∇q` is bit-identical at every setting.
+    pub threads: usize,
 }
 
 /// A ranking plus the encode/rank timing split of Figure 5.
@@ -162,9 +165,7 @@ fn rank_holistic(ctx: &RankContext<'_>) -> Ranking {
     // Build ∇θ q summed over queries (multi-complaint support, §3.2).
     let mut grad_q = vec![0.0; ctx.model.n_params()];
     for (out, query) in ctx.outputs.iter().zip(ctx.queries) {
-        let probs = probs_for(ctx.db, out, ctx.model);
-        let (_, pg) = q_value_and_prob_grad(out, &query.complaints, &probs);
-        let g = prob_grad_to_theta(ctx.db, out, ctx.model, &pg);
+        let g = holistic_grad(out, &query.complaints, ctx.model, ctx.threads);
         rain_linalg::vecops::axpy(1.0, &g, &mut grad_q);
     }
     let encode_s = t0.elapsed().as_secs_f64();
@@ -187,14 +188,14 @@ fn rank_twostep(ctx: &RankContext<'_>) -> Result<Ranking, RankError> {
             SqlStep::Timeout => return Err(RankError::IlpTimeout),
             SqlStep::Infeasible => return Err(RankError::Infeasible),
         };
+        // ∇θ q += -Σ ∇θ p_class(x_var): one adjoint entry per repair,
+        // chained through the same batched kernel as Holistic.
+        let mut pg = ProbGrad::zeros(out.predvars.len(), ctx.model.n_classes());
         for (var, class) in repairs {
-            let info = out.predvars.info(var);
-            let table = ctx.db.table(&info.table).expect("predvar table");
-            let x = table.feature_row(info.row).expect("predvar features");
-            // ∇θ q += -∇θ p_class(x).
-            let gp = ctx.model.grad_proba(x, class);
-            rain_linalg::vecops::axpy(-1.0, &gp, &mut grad_q);
+            pg.row_mut(var as usize)[class] -= 1.0;
         }
+        let g = prob_grad_to_theta(out, ctx.model, &pg, ctx.threads);
+        rain_linalg::vecops::axpy(1.0, &g, &mut grad_q);
     }
     let encode_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();

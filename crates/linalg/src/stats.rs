@@ -58,8 +58,22 @@ pub fn sigmoid(x: f64) -> f64 {
 
 /// Softmax of a slice into a fresh vector (stable; sums to 1).
 pub fn softmax(xs: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; xs.len()];
+    softmax_into(xs, &mut out);
+    out
+}
+
+/// Softmax of `xs` written into `out` — the allocation-free form of
+/// [`softmax`], bit-identical to it.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn softmax_into(xs: &[f64], out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len(), "softmax_into: length mismatch");
     let lse = log_sum_exp(xs);
-    xs.iter().map(|x| (x - lse).exp()).collect()
+    for (o, x) in out.iter_mut().zip(xs) {
+        *o = (x - lse).exp();
+    }
 }
 
 #[cfg(test)]

@@ -69,6 +69,54 @@ impl LogisticRegression {
         sigmoid(self.margin(x))
     }
 
+    /// Call `f(k, row, p₁)` for each row `start + k` of the next `rows`
+    /// rows of `x`, with `p₁` bit-identical to [`LogisticRegression::proba1`].
+    ///
+    /// Margins are computed four rows at a time: each row's dot product
+    /// still accumulates in `margin`'s order (so the bits match), but the
+    /// four independent add chains overlap in the pipeline.
+    #[inline]
+    fn for_each_proba1(
+        &self,
+        x: &rain_linalg::Matrix,
+        start: usize,
+        rows: usize,
+        mut f: impl FnMut(usize, &[f64], f64),
+    ) {
+        let d = self.dim;
+        assert_eq!(x.cols(), d, "feature width does not match the model");
+        if d == 0 {
+            (0..rows).for_each(|k| f(k, &[], self.proba1(&[])));
+            return;
+        }
+        let w = &self.params[..d];
+        let b = if self.use_bias { self.params[d] } else { 0.0 };
+        let block = &x.as_slice()[start * d..(start + rows) * d];
+        let mut quads = block.chunks_exact(4 * d);
+        let mut k = 0;
+        for quad in quads.by_ref() {
+            let (r0, rest) = quad.split_at(d);
+            let (r1, rest) = rest.split_at(d);
+            let (r2, r3) = rest.split_at(d);
+            // `Iterator::sum` over f64 folds from -0.0; so do these.
+            let mut s = [-0.0f64; 4];
+            for ((((&wj, &x0), &x1), &x2), &x3) in w.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                s[0] += wj * x0;
+                s[1] += wj * x1;
+                s[2] += wj * x2;
+                s[3] += wj * x3;
+            }
+            for (i, (row, si)) in [r0, r1, r2, r3].into_iter().zip(s).enumerate() {
+                f(k + i, row, sigmoid(si + b));
+            }
+            k += 4;
+        }
+        for row in quads.remainder().chunks_exact(d) {
+            f(k, row, self.proba1(row));
+            k += 1;
+        }
+    }
+
     /// Clamp a probability away from 0/1 so log-losses stay finite.
     #[inline]
     fn clamp_p(p: f64) -> f64 {
@@ -107,25 +155,13 @@ impl Classifier for LogisticRegression {
         vec![1.0 - p1, p1]
     }
 
-    fn predict_batch(&self, x: &rain_linalg::Matrix) -> Vec<usize> {
-        // Allocation-free batched path: one dot product per row, argmax
-        // over a stack pair — bitwise the same classes as per-row
-        // `predict` (which argmaxes the heap-allocated proba vector).
-        x.iter_rows()
-            .map(|r| {
-                let p1 = self.proba1(r);
-                rain_linalg::vecops::argmax(&[1.0 - p1, p1]).expect("non-empty proba")
-            })
-            .collect()
-    }
-
     fn predict_range_into(&self, x: &rain_linalg::Matrix, start: usize, out: &mut [usize]) {
-        // Same allocation-free kernel as `predict_batch`, over a row
-        // range — what each parallel-refresh worker runs on its chunk.
-        for (k, slot) in out.iter_mut().enumerate() {
-            let p1 = self.proba1(x.row(start + k));
-            *slot = rain_linalg::vecops::argmax(&[1.0 - p1, p1]).expect("non-empty proba");
-        }
+        // Allocation-free: argmax over a stack pair of the same `p₁` bits
+        // per-row `predict` sees — what each parallel-refresh worker (and
+        // the default `predict_batch`) runs.
+        self.for_each_proba1(x, start, out.len(), |k, _, p1| {
+            out[k] = rain_linalg::vecops::argmax(&[1.0 - p1, p1]).expect("non-empty proba");
+        });
     }
 
     fn example_loss(&self, x: &[f64], y: usize) -> f64 {
@@ -186,6 +222,32 @@ impl Classifier for LogisticRegression {
         }
         g[self.dim] = if self.use_bias { c } else { 0.0 };
         g
+    }
+
+    fn predict_proba_range_into(&self, x: &rain_linalg::Matrix, start: usize, out: &mut [f64]) {
+        self.for_each_proba1(x, start, out.len() / 2, |k, _, p1| {
+            out[2 * k] = 1.0 - p1;
+            out[2 * k + 1] = p1;
+        });
+    }
+
+    fn vjp_proba_range(&self, x: &rain_linalg::Matrix, start: usize, adj: &[f64], out: &mut [f64]) {
+        // ∇p₁ = p(1-p)·x̃ = -∇p₀, so a row's adjoint folds into one
+        // rank-1 update with factor (adj₁ − adj₀)·p(1−p).
+        assert_eq!(out.len(), self.n_params(), "vjp: output length mismatch");
+        let (w, b) = out.split_at_mut(self.dim);
+        let mut bias = 0.0;
+        self.for_each_proba1(x, start, adj.len() / 2, |k, xr, p| {
+            let d = adj[2 * k + 1] - adj[2 * k];
+            if d != 0.0 {
+                let f = d * p * (1.0 - p);
+                vecops::axpy(f, xr, w);
+                bias += f;
+            }
+        });
+        if self.use_bias {
+            b[0] += bias;
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Classifier> {

@@ -14,6 +14,24 @@
 //!   class probability moves with the parameters. Holistic chains these
 //!   through relaxed provenance polynomials; TwoStep sums them over marked
 //!   mispredictions.
+//!
+//! Batched kernels over a packed feature matrix (one example per row):
+//!
+//! - [`Classifier::predict_proba_range_into`] writes the class
+//!   probabilities of a row range into one flat `rows × n_classes` slice.
+//!   It must equal per-row [`Classifier::predict_proba`] **bit for bit**.
+//! - [`Classifier::vjp_proba_range`] is the vector–Jacobian product of
+//!   those probabilities: given a flat `rows × n_classes` adjoint `adj`,
+//!   it adds `Σ_i Σ_c adj[i][c] · ∇θ p_c(x_i)` into `out` (it accumulates;
+//!   it never clears `out`). It must agree with the same sum of
+//!   [`Classifier::grad_proba`] calls up to floating-point reassociation,
+//!   and be a deterministic function of its inputs — callers shard a
+//!   matrix into fixed row ranges and reduce the partial sums in range
+//!   order, so the result is reproducible bit for bit. Rows whose adjoint
+//!   is all zero contribute nothing.
+//!
+//! Both have generic defaults built on the per-row methods; closed-form
+//! models override them with allocation-free loops.
 
 use crate::dataset::Dataset;
 
@@ -129,6 +147,39 @@ pub trait Classifier: Send + Sync {
     /// Gradient of the predicted probability of `class`: `∇θ p_class(x, θ)`.
     fn grad_proba(&self, x: &[f64], class: usize) -> Vec<f64>;
 
+    /// Class probabilities for the row range `start .. start + rows` of
+    /// `x`, written row-major into `out` (`out.len() == rows ·
+    /// n_classes`).
+    ///
+    /// The default copies per-row [`Classifier::predict_proba`] results;
+    /// overrides must return exactly those values, bit for bit.
+    fn predict_proba_range_into(&self, x: &rain_linalg::Matrix, start: usize, out: &mut [f64]) {
+        let c = self.n_classes();
+        for (k, row) in out.chunks_exact_mut(c).enumerate() {
+            row.copy_from_slice(&self.predict_proba(x.row(start + k)));
+        }
+    }
+
+    /// Vector–Jacobian product of the class probabilities of the row range
+    /// `start .. start + rows` of `x`: `out += Σ_i Σ_c adj[i][c] · ∇θ
+    /// p_c(x_{start+i})`, with `adj` row-major (`adj.len() == rows ·
+    /// n_classes`) and `out.len() == n_params`.
+    ///
+    /// The default sums one [`Classifier::grad_proba`] per non-zero
+    /// adjoint entry; overrides fold each row's adjoint into one
+    /// parameter-space update without allocating.
+    fn vjp_proba_range(&self, x: &rain_linalg::Matrix, start: usize, adj: &[f64], out: &mut [f64]) {
+        let c = self.n_classes();
+        for (k, a) in adj.chunks_exact(c).enumerate() {
+            let xr = x.row(start + k);
+            for (class, &g) in a.iter().enumerate() {
+                if g != 0.0 {
+                    rain_linalg::vecops::axpy(g, &self.grad_proba(xr, class), out);
+                }
+            }
+        }
+    }
+
     /// Clone into a boxed trait object (for warm-started retraining).
     fn clone_box(&self) -> Box<dyn Classifier>;
 
@@ -201,5 +252,107 @@ pub mod check {
             g[j] = (up - dn) / (2.0 * eps);
         }
         g
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Classifier;
+    use crate::{LogisticRegression, Mlp, SoftmaxRegression};
+    use rain_linalg::{Matrix, RainRng};
+
+    fn features(rows: usize, dim: usize, seed: u64) -> Matrix {
+        let mut rng = RainRng::seed_from_u64(seed);
+        let data: Vec<f64> = (0..rows * dim).map(|_| rng.normal()).collect();
+        Matrix::from_vec(rows, dim, data)
+    }
+
+    fn randomized(mut m: Box<dyn Classifier>, seed: u64) -> Box<dyn Classifier> {
+        let mut rng = RainRng::seed_from_u64(seed);
+        let p = rng.normal_vec(m.n_params(), 0.7);
+        m.set_params(&p);
+        m
+    }
+
+    /// Every model the kernels serve: logistic with and without bias and
+    /// softmax (closed-form overrides), and the MLP (trait defaults).
+    fn models(dim: usize) -> Vec<Box<dyn Classifier>> {
+        vec![
+            randomized(Box::new(LogisticRegression::new(dim, 0.01)), 1),
+            randomized(Box::new(LogisticRegression::without_bias(dim, 0.01)), 2),
+            randomized(Box::new(SoftmaxRegression::new(dim, 4, 0.01)), 3),
+            Box::new(Mlp::new(dim, 6, 3, 0.01, 4)),
+        ]
+    }
+
+    #[test]
+    fn proba_range_matches_per_row_predict_proba_bitwise() {
+        let x = features(37, 5, 10);
+        for m in models(5) {
+            let c = m.n_classes();
+            let per_row: Vec<u64> = x
+                .iter_rows()
+                .flat_map(|r| m.predict_proba(r))
+                .map(f64::to_bits)
+                .collect();
+            for chunk in [1usize, 8, 37] {
+                let mut out = vec![0.0; x.rows() * c];
+                for start in (0..x.rows()).step_by(chunk) {
+                    let end = (start + chunk).min(x.rows());
+                    m.predict_proba_range_into(&x, start, &mut out[start * c..end * c]);
+                }
+                let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, per_row, "{} chunk={chunk}", m.name());
+            }
+        }
+    }
+
+    #[test]
+    fn vjp_matches_summed_grad_proba() {
+        let x = features(29, 5, 20);
+        let mut rng = RainRng::seed_from_u64(21);
+        for m in models(5) {
+            let c = m.n_classes();
+            // Random adjoints with some all-zero rows and zero entries.
+            let adj: Vec<f64> = (0..x.rows() * c)
+                .map(|i| {
+                    if (i / c) % 5 == 0 || i % 3 == 0 {
+                        0.0
+                    } else {
+                        rng.normal()
+                    }
+                })
+                .collect();
+            let mut expect = vec![0.0; m.n_params()];
+            for i in 0..x.rows() {
+                for class in 0..c {
+                    let g = m.grad_proba(x.row(i), class);
+                    rain_linalg::vecops::axpy(adj[i * c + class], &g, &mut expect);
+                }
+            }
+            // Accumulates into `out`, over any split of the rows.
+            let mut got = vec![0.0; m.n_params()];
+            m.vjp_proba_range(&x, 0, &adj[..10 * c], &mut got);
+            m.vjp_proba_range(&x, 10, &adj[10 * c..], &mut got);
+            let scale = rain_linalg::vecops::norm_inf(&expect).max(1e-300);
+            for (j, (g, e)) in got.iter().zip(&expect).enumerate() {
+                assert!(
+                    (g - e).abs() <= 1e-12 * scale,
+                    "{} param {j}: vjp {g} vs Σ adj·∇p {e}",
+                    m.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn vjp_of_zero_adjoint_leaves_out_untouched() {
+        let x = features(8, 3, 30);
+        for m in models(3) {
+            let mut out: Vec<f64> = (0..m.n_params()).map(|j| j as f64).collect();
+            let before = out.clone();
+            m.vjp_proba_range(&x, 0, &vec![0.0; 8 * m.n_classes()], &mut out);
+            assert_eq!(out, before, "{}", m.name());
+        }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::dataset::Dataset;
 use crate::model::Classifier;
-use rain_linalg::stats::softmax;
+use rain_linalg::stats::{softmax, softmax_into};
 use rain_linalg::vecops;
 
 /// Multiclass softmax regression.
@@ -42,16 +42,23 @@ impl SoftmaxRegression {
 
     /// Logits `x̃ᵀW` for one example.
     pub fn logits(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.n_classes];
+        self.logits_into(x, &mut out);
+        out
+    }
+
+    /// [`SoftmaxRegression::logits`] written into `out` (length
+    /// `n_classes`), bit-identical to it.
+    fn logits_into(&self, x: &[f64], out: &mut [f64]) {
         debug_assert_eq!(x.len(), self.dim);
         let c = self.n_classes;
-        let mut out = self.params[self.dim * c..(self.dim + 1) * c].to_vec(); // bias row
+        out.copy_from_slice(&self.params[self.dim * c..(self.dim + 1) * c]); // bias row
         for (j, &xj) in x.iter().enumerate() {
             if xj != 0.0 {
                 let row = &self.params[j * c..(j + 1) * c];
-                vecops::axpy(xj, row, &mut out);
+                vecops::axpy(xj, row, out);
             }
         }
-        out
     }
 
     /// `x̃ᵀ V` for an arbitrary direction `v` laid out like the parameters.
@@ -161,6 +168,37 @@ impl Classifier for SoftmaxRegression {
         let mut g = vec![0.0; self.n_params()];
         self.add_outer_xu(x, &u, 1.0, &mut g);
         g
+    }
+
+    fn predict_proba_range_into(&self, x: &rain_linalg::Matrix, start: usize, out: &mut [f64]) {
+        let c = self.n_classes;
+        let mut logits = vec![0.0; c];
+        for (k, row) in out.chunks_exact_mut(c).enumerate() {
+            self.logits_into(x.row(start + k), &mut logits);
+            softmax_into(&logits, row);
+        }
+    }
+
+    fn vjp_proba_range(&self, x: &rain_linalg::Matrix, start: usize, adj: &[f64], out: &mut [f64]) {
+        // Σ_c adj_c ∂p_c/∂logit_k = p_k (adj_k − ⟨adj, p⟩): one C-vector
+        // per row, chained through logits = x̃ᵀW as a rank-1 update.
+        assert_eq!(out.len(), self.n_params(), "vjp: output length mismatch");
+        let c = self.n_classes;
+        let mut scratch = vec![0.0; 2 * c];
+        let (logits, u) = scratch.split_at_mut(c);
+        for (k, a) in adj.chunks_exact(c).enumerate() {
+            if a.iter().all(|&g| g == 0.0) {
+                continue;
+            }
+            let xr = x.row(start + k);
+            self.logits_into(xr, logits);
+            softmax_into(logits, u);
+            let s = vecops::dot(a, u);
+            for (uk, &ak) in u.iter_mut().zip(a) {
+                *uk *= ak - s;
+            }
+            self.add_outer_xu(xr, u, 1.0, out);
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Classifier> {

@@ -27,6 +27,7 @@ use crate::value::{like_match, Value};
 use crate::QueryError;
 use rain_model::Classifier;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A (possibly partial) joined tuple: one row index per bound relation.
 #[derive(Debug, Clone)]
@@ -531,12 +532,14 @@ pub(crate) fn project(
     if ctx.debug {
         let skel = crate::incremental::capture_select(ctx, tuples, items)?;
         let (table, row_prov) = crate::incremental::refresh_select(&skel, ctx.reg.preds());
+        let features = crate::incremental::pack_features(ctx.db, &ctx.reg, ctx.model.dim())?;
         return Ok(QueryOutput {
             table,
             row_prov,
             agg_cells: Vec::new(),
             n_key_cols: 0,
             predvars: std::mem::take(&mut ctx.reg),
+            features: Arc::new(features),
         });
     }
     let mut schema = Schema::default();
@@ -562,6 +565,7 @@ pub(crate) fn project(
         agg_cells: Vec::new(),
         n_key_cols: 0,
         predvars: std::mem::take(&mut ctx.reg),
+        features: crate::exec::no_features(),
     })
 }
 
@@ -582,12 +586,14 @@ pub(crate) fn aggregate(
     if ctx.debug {
         let (skel, _) = crate::incremental::capture_groups(ctx, tuples, keys, aggs)?;
         let (table, agg_cells) = crate::incremental::refresh_groups(&skel, ctx.reg.preds());
+        let features = crate::incremental::pack_features(ctx.db, &ctx.reg, ctx.model.dim())?;
         return Ok(QueryOutput {
             table,
             row_prov: Vec::new(),
             agg_cells,
             n_key_cols: keys.len(),
             predvars: std::mem::take(&mut ctx.reg),
+            features: Arc::new(features),
         });
     }
     let mut groups: HashMap<Vec<KeyVal>, GroupAcc> = HashMap::new();
@@ -697,6 +703,7 @@ pub(crate) fn aggregate(
         agg_cells: Vec::new(),
         n_key_cols: keys.len(),
         predvars: std::mem::take(&mut ctx.reg),
+        features: crate::exec::no_features(),
     })
 }
 

@@ -40,8 +40,10 @@ use crate::prov::{BoolProv, CellProv};
 use crate::table::Table;
 use crate::value::Value;
 use crate::QueryError;
+use rain_linalg::Matrix;
 use rain_model::Classifier;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Which execution engine runs the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -185,6 +187,17 @@ pub struct QueryOutput {
     pub n_key_cols: usize,
     /// Prediction variables created during execution.
     pub predvars: PredVarRegistry,
+    /// Debug mode: the feature row of every prediction variable, packed
+    /// in variable order (row `v` feeds variable `v`) — what the batched
+    /// relaxation encode runs the model over. A refreshed output shares
+    /// its prepared skeleton's matrix (an `Arc` clone, no copy); a full
+    /// execution packs it once. Empty (zero rows) in normal mode.
+    pub features: Arc<Matrix>,
+}
+
+/// The empty feature matrix of a normal-mode output.
+pub(crate) fn no_features() -> Arc<Matrix> {
+    Arc::new(Matrix::zeros(0, 0))
 }
 
 impl QueryOutput {

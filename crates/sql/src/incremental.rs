@@ -63,7 +63,7 @@ use rain_linalg::Matrix;
 use rain_model::Classifier;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// What the join pipeline saw while building the candidate set; captured
@@ -191,8 +191,10 @@ pub struct PreparedQuery {
     /// predictions, no per-variable allocation.
     reg: PredVarRegistry,
     /// One feature row per prediction variable, packed at prepare time so
-    /// refresh inference is a single batched call.
-    features: Matrix,
+    /// refresh inference is a single batched call. Shared by reference
+    /// with every refreshed [`QueryOutput`] (the relaxation encode runs
+    /// the model over the same rows).
+    features: Arc<Matrix>,
     /// Content hash of each feature row (`f64` bit patterns through a
     /// deterministic hasher), aligned with `features`. Computed once at
     /// prepare time; [`ScoreMemo`] keys cached scores by these, so rows
@@ -256,24 +258,7 @@ pub fn prepare_with(
     prep_span.add("candidate_tuples", candidate_tuples as u64);
     prep_span.add("n_vars", reg.len() as u64);
     let _feat_span = rain_obs::Span::enter("pack-features");
-    let dim = model.dim();
-    let mut features = Matrix::zeros(reg.len(), dim);
-    for (i, info) in reg.infos().iter().enumerate() {
-        let table = db
-            .table(&info.table)
-            .expect("prediction variable over an unregistered table");
-        let feat = table
-            .feature_row(info.row)
-            .expect("features checked at bind time");
-        if feat.len() != dim {
-            return Err(QueryError::Exec(format!(
-                "feature width {} of table {} does not match model dim {dim}",
-                feat.len(),
-                info.table
-            )));
-        }
-        features.row_mut(i).copy_from_slice(feat);
-    }
+    let features = pack_features(db, &reg, model.dim())?;
     let feature_hashes = (0..features.rows())
         .map(|i| feature_row_hash(features.row(i)))
         .collect();
@@ -295,12 +280,49 @@ pub fn prepare_with(
         kind,
         plan: plan.clone(),
         reg,
-        features,
+        features: Arc::new(features),
         feature_hashes,
         n_classes: model.n_classes(),
         rels,
         stats,
     })
+}
+
+/// The feature row of every variable in `reg`, packed in variable order
+/// (row `v` feeds variable `v`). Fails if a row's width is not the model's
+/// feature dimension `dim`.
+pub(crate) fn pack_features(
+    db: &Database,
+    reg: &PredVarRegistry,
+    dim: usize,
+) -> Result<Matrix, QueryError> {
+    let mut features = Matrix::zeros(reg.len(), dim);
+    // Variables come in runs over one table; resolve its name once per run.
+    let mut current: Option<(&str, &Table)> = None;
+    for (i, info) in reg.infos().iter().enumerate() {
+        let table = match current {
+            Some((name, table)) if name == info.table => table,
+            _ => {
+                let table = db
+                    .table(&info.table)
+                    .expect("prediction variable over an unregistered table");
+                current = Some((&info.table, table));
+                table
+            }
+        };
+        let feat = table
+            .feature_row(info.row)
+            .expect("features checked at bind time");
+        if feat.len() != dim {
+            return Err(QueryError::Exec(format!(
+                "feature width {} of table {} does not match model dim {dim}",
+                feat.len(),
+                info.table
+            )));
+        }
+        features.row_mut(i).copy_from_slice(feat);
+    }
+    Ok(features)
 }
 
 /// Deterministic content hash of one feature row: the exact `f64` bit
@@ -314,6 +336,31 @@ fn feature_row_hash(row: &[f64]) -> u64 {
     }
     h.finish()
 }
+
+/// Hasher for keys that already are [`feature_row_hash`] outputs: the
+/// `u64` passes through instead of being hashed a second time.
+#[derive(Debug, Clone, Copy, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is reached by `u64` keys; fold anything else.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
+/// A map keyed by feature-row hashes.
+type HashKeyed<V> = HashMap<u64, V, BuildHasherDefault<PassThrough>>;
 
 /// Memoized classifier scores, keyed by (model generation, feature-row
 /// hash).
@@ -334,7 +381,7 @@ fn feature_row_hash(row: &[f64]) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct ScoreMemo {
     generation: u64,
-    scores: HashMap<u64, usize>,
+    scores: HashKeyed<usize>,
     hits: u64,
     misses: u64,
 }
@@ -490,6 +537,7 @@ impl PreparedQuery {
                     agg_cells: Vec::new(),
                     n_key_cols: 0,
                     predvars: reg,
+                    features: Arc::clone(&self.features),
                 }
             }
             KindSkeleton::Aggregate(a) => {
@@ -500,6 +548,7 @@ impl PreparedQuery {
                     agg_cells,
                     n_key_cols: a.n_keys,
                     predvars: reg,
+                    features: Arc::clone(&self.features),
                 }
             }
         })
@@ -588,34 +637,44 @@ impl PreparedQuery {
     ) -> Vec<usize> {
         let n = self.features.rows();
         let mut preds = vec![0usize; n];
-        // hash → rows of this refresh awaiting that hash's one inference;
-        // `miss_rows` holds each distinct hash's first row, in row order.
-        let mut pending: HashMap<u64, Vec<usize>> = HashMap::new();
+        // Per row: the index (into `miss_rows`) of the inference that
+        // serves it, or `SERVED` when the memo already held its score.
+        // `first_miss` maps each missing hash to that index; `miss_rows`
+        // holds each distinct missing hash's first row, in row order.
+        const SERVED: u32 = u32::MAX;
+        let mut slot = vec![SERVED; n];
+        let mut first_miss: HashKeyed<u32> = HashKeyed::default();
         let mut miss_rows: Vec<usize> = Vec::new();
         for (i, &h) in self.feature_hashes.iter().enumerate() {
             if let Some(&class) = memo.scores.get(&h) {
                 preds[i] = class;
             } else {
-                pending
-                    .entry(h)
-                    .or_insert_with(|| {
-                        miss_rows.push(i);
-                        Vec::new()
-                    })
-                    .push(i);
+                let next = miss_rows.len() as u32;
+                slot[i] = *first_miss.entry(h).or_insert_with(|| {
+                    miss_rows.push(i);
+                    next
+                });
             }
         }
         memo.misses += miss_rows.len() as u64;
         memo.hits += (n - miss_rows.len()) as u64;
-        if !miss_rows.is_empty() {
+        if miss_rows.is_empty() {
+            return preds;
+        }
+        // Every row a distinct miss: score the packed matrix in place.
+        let scored = if miss_rows.len() == n {
+            predict_batch_sharded(model, &self.features, threads)
+        } else {
             let compact = self.features.select_rows(&miss_rows);
-            let scored = predict_batch_sharded(model, &compact, threads);
-            for (j, &row) in miss_rows.iter().enumerate() {
-                let h = self.feature_hashes[row];
-                memo.scores.insert(h, scored[j]);
-                for &i in &pending[&h] {
-                    preds[i] = scored[j];
-                }
+            predict_batch_sharded(model, &compact, threads)
+        };
+        memo.scores.reserve(miss_rows.len());
+        for (&row, &class) in miss_rows.iter().zip(&scored) {
+            memo.scores.insert(self.feature_hashes[row], class);
+        }
+        for (p, &m) in preds.iter_mut().zip(&slot) {
+            if m != SERVED {
+                *p = scored[m as usize];
             }
         }
         preds

@@ -20,7 +20,6 @@
 //!    DAG — this is what turns a user complaint into `∇q` for influence
 //!    analysis.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identifier of a prediction variable (one model inference instance).
@@ -101,41 +100,112 @@ pub enum CellProv {
     Ratio(Arc<AggSum>, Arc<AggSum>),
 }
 
-/// Per-variable class probabilities: `probs[var][class]`.
-#[derive(Debug, Clone)]
+/// Per-variable class probabilities, dense and row-major: an
+/// `n_vars × n_classes` matrix whose row `var` is that variable's class
+/// distribution.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Probs {
-    /// `p[var][class]`, each row summing to 1.
-    pub p: Vec<Vec<f64>>,
+    n_classes: usize,
+    p: Vec<f64>,
 }
 
 impl Probs {
+    /// Wrap a flat row-major `n_vars × n_classes` buffer.
+    ///
+    /// # Panics
+    /// Panics if `p.len()` is not a multiple of `n_classes`.
+    pub fn new(n_classes: usize, p: Vec<f64>) -> Self {
+        assert!(
+            n_classes > 0 && p.len().is_multiple_of(n_classes),
+            "Probs::new: {} values do not form rows of {n_classes} classes",
+            p.len()
+        );
+        Probs { n_classes, p }
+    }
+
+    /// Build from one distribution per variable (all the same length).
+    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+        let n_classes = rows.first().map_or(1, Vec::len);
+        assert!(
+            rows.iter().all(|r| r.len() == n_classes),
+            "Probs::from_rows: ragged rows"
+        );
+        Probs::new(n_classes, rows.concat())
+    }
+
     /// Number of variables.
     pub fn n_vars(&self) -> usize {
-        self.p.len()
+        self.p.len() / self.n_classes
+    }
+
+    /// Number of classes per variable.
+    pub fn n_classes(&self) -> usize {
+        self.n_classes
+    }
+
+    /// Class distribution of variable `var`.
+    #[inline]
+    pub fn row(&self, var: usize) -> &[f64] {
+        &self.p[var * self.n_classes..(var + 1) * self.n_classes]
+    }
+
+    /// Mutable class distribution of variable `var`.
+    #[inline]
+    pub fn row_mut(&mut self, var: usize) -> &mut [f64] {
+        &mut self.p[var * self.n_classes..(var + 1) * self.n_classes]
     }
 }
 
-/// Gradient of a relaxed value w.r.t. every `p[var][class]`; sparse over
-/// variables, dense over classes.
-#[derive(Debug, Clone, Default)]
+/// Gradient of a relaxed value w.r.t. every `p[var][class]`, laid out
+/// exactly like [`Probs`]: dense and row-major, `n_vars × n_classes`.
+/// Variables the value does not mention hold zero rows.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbGrad {
-    /// `d value / d p[var][class]`.
-    pub g: HashMap<VarId, Vec<f64>>,
+    n_classes: usize,
+    g: Vec<f64>,
 }
 
 impl ProbGrad {
-    fn slot(&mut self, var: VarId, n_classes: usize) -> &mut Vec<f64> {
-        self.g.entry(var).or_insert_with(|| vec![0.0; n_classes])
+    /// An all-zero gradient over `n_vars` variables of `n_classes` classes.
+    pub fn zeros(n_vars: usize, n_classes: usize) -> Self {
+        assert!(n_classes > 0, "ProbGrad::zeros: no classes");
+        ProbGrad {
+            n_classes,
+            g: vec![0.0; n_vars * n_classes],
+        }
     }
 
-    /// Accumulate `other × scale` into `self`.
-    pub fn add_scaled(&mut self, other: &ProbGrad, scale: f64) {
-        for (&var, gs) in &other.g {
-            let slot = self.slot(var, gs.len());
-            for (s, &g) in slot.iter_mut().zip(gs) {
-                *s += scale * g;
-            }
-        }
+    /// An all-zero gradient shaped like `probs`.
+    pub fn zeros_like(probs: &Probs) -> Self {
+        ProbGrad::zeros(probs.n_vars(), probs.n_classes())
+    }
+
+    /// Number of variables.
+    pub fn n_vars(&self) -> usize {
+        self.g.len() / self.n_classes
+    }
+
+    /// Number of classes per variable.
+    pub fn n_classes(&self) -> usize {
+        self.n_classes
+    }
+
+    /// `d value / d p[var][·]`.
+    #[inline]
+    pub fn row(&self, var: usize) -> &[f64] {
+        &self.g[var * self.n_classes..(var + 1) * self.n_classes]
+    }
+
+    /// Mutable `d value / d p[var][·]`.
+    #[inline]
+    pub fn row_mut(&mut self, var: usize) -> &mut [f64] {
+        &mut self.g[var * self.n_classes..(var + 1) * self.n_classes]
+    }
+
+    /// The flat row-major buffer — the adjoint a model's batched
+    /// vector–Jacobian product consumes.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.g
     }
 }
 
@@ -206,11 +276,9 @@ impl BoolProv {
     pub fn eval_relaxed(&self, probs: &Probs) -> f64 {
         match self {
             BoolProv::Const(b) => *b as u8 as f64,
-            BoolProv::PredIs { var, class } => probs.p[*var as usize][*class],
+            BoolProv::PredIs { var, class } => probs.row(*var as usize)[*class],
             BoolProv::PredEq { left, right } => {
-                let l = &probs.p[*left as usize];
-                let r = &probs.p[*right as usize];
-                rain_linalg::vecops::dot(l, r)
+                rain_linalg::vecops::dot(probs.row(*left as usize), probs.row(*right as usize))
             }
             BoolProv::Not(inner) => 1.0 - inner.eval_relaxed(probs),
             BoolProv::And(terms) => terms.iter().map(|t| t.eval_relaxed(probs)).product(),
@@ -232,18 +300,14 @@ impl BoolProv {
         match self {
             BoolProv::Const(_) => {}
             BoolProv::PredIs { var, class } => {
-                let n = probs.p[*var as usize].len();
-                grad.slot(*var, n)[*class] += adj;
+                grad.row_mut(*var as usize)[*class] += adj;
             }
             BoolProv::PredEq { left, right } => {
-                let l = probs.p[*left as usize].clone();
-                let r = probs.p[*right as usize].clone();
-                let ls = grad.slot(*left, l.len());
-                for (s, &rc) in ls.iter_mut().zip(&r) {
+                let (l, r) = (probs.row(*left as usize), probs.row(*right as usize));
+                for (s, &rc) in grad.row_mut(*left as usize).iter_mut().zip(r) {
                     *s += adj * rc;
                 }
-                let rs = grad.slot(*right, r.len());
-                for (s, &lc) in rs.iter_mut().zip(&l) {
+                for (s, &lc) in grad.row_mut(*right as usize).iter_mut().zip(l) {
                     *s += adj * lc;
                 }
             }
@@ -320,14 +384,16 @@ impl AggTerm {
         match self {
             AggTerm::One => 1.0,
             AggTerm::Const(v) => *v,
-            AggTerm::PredValue(var) => probs.p[*var as usize]
+            AggTerm::PredValue(var) => probs
+                .row(*var as usize)
                 .iter()
                 .enumerate()
                 .map(|(c, &p)| c as f64 * p)
                 .sum(),
             AggTerm::ScaledPred { var, weight } => {
                 weight
-                    * probs.p[*var as usize]
+                    * probs
+                        .row(*var as usize)
                         .iter()
                         .enumerate()
                         .map(|(c, &p)| c as f64 * p)
@@ -336,19 +402,15 @@ impl AggTerm {
         }
     }
 
-    fn accumulate_grad(&self, probs: &Probs, adj: f64, grad: &mut ProbGrad) {
+    fn accumulate_grad(&self, adj: f64, grad: &mut ProbGrad) {
         match self {
             AggTerm::PredValue(var) => {
-                let n = probs.p[*var as usize].len();
-                let slot = grad.slot(*var, n);
-                for (c, s) in slot.iter_mut().enumerate() {
+                for (c, s) in grad.row_mut(*var as usize).iter_mut().enumerate() {
                     *s += adj * c as f64;
                 }
             }
             AggTerm::ScaledPred { var, weight } => {
-                let n = probs.p[*var as usize].len();
-                let slot = grad.slot(*var, n);
-                for (c, s) in slot.iter_mut().enumerate() {
+                for (c, s) in grad.row_mut(*var as usize).iter_mut().enumerate() {
                     *s += adj * weight * c as f64;
                 }
             }
@@ -384,7 +446,7 @@ impl AggSum {
             let fv = f.eval_relaxed(probs);
             let tv = t.eval_relaxed(probs);
             f.accumulate_grad(probs, adj * tv, grad);
-            t.accumulate_grad(probs, adj * fv, grad);
+            t.accumulate_grad(adj * fv, grad);
         }
     }
 }
@@ -421,7 +483,7 @@ impl CellProv {
 
     /// Gradient of the relaxed value w.r.t. all probabilities.
     pub fn grad(&self, probs: &Probs) -> ProbGrad {
-        let mut g = ProbGrad::default();
+        let mut g = ProbGrad::zeros_like(probs);
         self.accumulate_grad(probs, 1.0, &mut g);
         g
     }
@@ -474,9 +536,7 @@ mod tests {
     use super::*;
 
     fn binary_probs(ps: &[f64]) -> Probs {
-        Probs {
-            p: ps.iter().map(|&p| vec![1.0 - p, p]).collect(),
-        }
+        Probs::new(2, ps.iter().flat_map(|&p| [1.0 - p, p]).collect())
     }
 
     fn atom(var: VarId) -> BoolProv {
@@ -532,16 +592,16 @@ mod tests {
         ]);
         for bits in 0..8u32 {
             let preds: Vec<usize> = (0..3).map(|i| ((bits >> i) & 1) as usize).collect();
-            let probs = Probs {
-                p: preds
+            let probs = Probs::from_rows(
+                &preds
                     .iter()
                     .map(|&c| {
                         let mut row = vec![0.0, 0.0];
                         row[c] = 1.0;
                         row
                     })
-                    .collect(),
-            };
+                    .collect::<Vec<_>>(),
+            );
             assert_eq!(
                 f.eval_discrete(&preds) as u8 as f64,
                 f.eval_relaxed(&probs),
@@ -573,9 +633,7 @@ mod tests {
 
     #[test]
     fn pred_eq_relaxes_to_dot_product() {
-        let probs = Probs {
-            p: vec![vec![0.2, 0.5, 0.3], vec![0.1, 0.8, 0.1]],
-        };
+        let probs = Probs::from_rows(&[vec![0.2, 0.5, 0.3], vec![0.1, 0.8, 0.1]]);
         let f = BoolProv::PredEq { left: 0, right: 1 };
         let expect = 0.2 * 0.1 + 0.5 * 0.8 + 0.3 * 0.1;
         assert!((f.eval_relaxed(&probs) - expect).abs() < 1e-12);
@@ -586,13 +644,13 @@ mod tests {
         let g = cell.grad(probs);
         let eps = 1e-6;
         for var in 0..probs.n_vars() {
-            for c in 0..probs.p[var].len() {
+            for c in 0..probs.n_classes() {
                 let mut up = probs.clone();
-                up.p[var][c] += eps;
+                up.row_mut(var)[c] += eps;
                 let mut dn = probs.clone();
-                dn.p[var][c] -= eps;
+                dn.row_mut(var)[c] -= eps;
                 let fd = (cell.eval_relaxed(&up) - cell.eval_relaxed(&dn)) / (2.0 * eps);
-                let got = g.g.get(&(var as VarId)).map_or(0.0, |v| v[c]);
+                let got = g.row(var)[c];
                 assert!(
                     (fd - got).abs() < 1e-6,
                     "var {var} class {c}: fd {fd} vs {got}"
@@ -603,9 +661,7 @@ mod tests {
 
     #[test]
     fn gradients_match_finite_differences() {
-        let probs = Probs {
-            p: vec![vec![0.7, 0.3], vec![0.4, 0.6], vec![0.9, 0.1]],
-        };
+        let probs = Probs::from_rows(&[vec![0.7, 0.3], vec![0.4, 0.6], vec![0.9, 0.1]]);
         // Shared-variable formula exercises the product rules.
         let f = BoolProv::or(vec![
             BoolProv::and(vec![atom(0), atom(1)]),
@@ -636,9 +692,7 @@ mod tests {
         };
         check_grad(&CellProv::Ratio(Arc::new(num), Arc::new(den)), &probs);
         // PredEq gradient.
-        let probs3 = Probs {
-            p: vec![vec![0.2, 0.5, 0.3], vec![0.1, 0.8, 0.1]],
-        };
+        let probs3 = Probs::from_rows(&[vec![0.2, 0.5, 0.3], vec![0.1, 0.8, 0.1]]);
         check_grad(
             &CellProv::Bool(BoolProv::PredEq { left: 0, right: 1 }),
             &probs3,

@@ -115,6 +115,7 @@ pub(crate) fn aggregate_rowset(
         agg_cells: Vec::new(),
         n_key_cols: 0,
         predvars: std::mem::take(&mut ctx.reg),
+        features: crate::exec::no_features(),
     })
 }
 
@@ -285,6 +286,7 @@ fn grouped_fast_path(
         agg_cells: Vec::new(),
         n_key_cols: 1,
         predvars: std::mem::take(&mut ctx.reg),
+        features: crate::exec::no_features(),
     }))
 }
 

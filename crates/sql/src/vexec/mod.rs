@@ -344,6 +344,7 @@ fn project_rowset(
         agg_cells: Vec::new(),
         n_key_cols: 0,
         predvars: std::mem::take(&mut ctx.reg),
+        features: crate::exec::no_features(),
     })
 }
 

@@ -352,7 +352,9 @@ fn relaxed_count_gradient_points_toward_complaint() {
     .unwrap();
     let probs = probs_of(&out.predvars, &db, &model);
     let g = out.agg_cells[0][0].grad(&probs);
-    for gs in g.g.values() {
+    assert_eq!(g.n_vars(), out.predvars.len());
+    for var in 0..g.n_vars() {
+        let gs = g.row(var);
         assert!(gs[1] > 0.0, "class-1 gradient must be positive");
         assert_eq!(gs[0], 0.0, "class-0 prob does not appear in the formula");
     }
@@ -360,7 +362,7 @@ fn relaxed_count_gradient_points_toward_complaint() {
 
 /// Model probabilities for every prediction variable of an output.
 fn probs_of(reg: &rain_sql::PredVarRegistry, db: &Database, model: &dyn Classifier) -> Probs {
-    let p = reg
+    let rows: Vec<Vec<f64>> = reg
         .infos()
         .iter()
         .map(|info| {
@@ -368,7 +370,7 @@ fn probs_of(reg: &rain_sql::PredVarRegistry, db: &Database, model: &dyn Classifi
             model.predict_proba(t.feature_row(info.row).unwrap())
         })
         .collect();
-    Probs { p }
+    Probs::from_rows(&rows)
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! under one set of model parameters and refreshed under another must be
 //! **bit-identical** to a fresh full debug-mode execution with the new
 //! parameters — same result rows, same schema, same `ScalarResult`, same
-//! prediction-variable registry (ids, sources, hard predictions), and
-//! structurally equal provenance polynomials — on both engines, for
+//! prediction-variable registry (ids, sources, hard predictions), the
+//! same packed per-variable feature rows, and structurally equal
+//! provenance polynomials — on both engines, for
 //! skeletons prepared on either engine.
 //!
 //! Workloads are seeded-random SPJA queries (joins, `predict = c` /
@@ -173,7 +174,8 @@ fn random_query(rng: &mut RainRng) -> String {
 }
 
 /// Assert two outputs are bit-identical: rows, schema, scalar shape,
-/// provenance, and the prediction-variable registry.
+/// provenance, the prediction-variable registry, and the packed feature
+/// rows the relaxation encode runs the model over.
 fn assert_identical(label: &str, want: &QueryOutput, got: &QueryOutput) {
     assert_eq!(
         want.table.to_tsv(),
@@ -202,6 +204,7 @@ fn assert_identical(label: &str, want: &QueryOutput, got: &QueryOutput) {
         got.predvars.preds(),
         "{label}: hard predictions"
     );
+    assert_eq!(want.features, got.features, "{label}: packed feature rows");
 }
 
 /// Prepare on both engines under `prep_model`, refresh under each model
@@ -441,6 +444,29 @@ fn memoized_refresh_matches_unmemoized_across_generations() {
 
 /// A fully model-free query prepares and refreshes too: the output is
 /// independent of whichever model refreshes it.
+/// Refreshed outputs carry the skeleton's packed feature matrix by
+/// reference — one row per prediction variable, never copied per
+/// refresh — while a normal-mode execution carries none.
+#[test]
+fn refreshed_outputs_share_the_skeleton_feature_matrix() {
+    let mut rng = RainRng::seed_from_u64(17);
+    let db = random_db(&mut rng);
+    let sql = "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.x = b.y AND predict(a) = predict(b)";
+    let plan = optimize(bind(&parse_select(sql).unwrap(), &db).unwrap(), &db);
+    let model = step_model();
+    let prepared = prepare(&db, &model, &plan, Engine::Vectorized).unwrap();
+    let first = prepared.refresh_threaded(&db, &model, 1).unwrap();
+    let second = prepared.refresh_threaded(&db, &flipped_model(), 2).unwrap();
+    assert!(std::sync::Arc::ptr_eq(&first.features, &second.features));
+    assert_eq!(first.features.rows(), first.predvars.len());
+    for (v, info) in first.predvars.infos().iter().enumerate() {
+        let table = db.table(&info.table).unwrap();
+        assert_eq!(first.features.row(v), table.feature_row(info.row).unwrap());
+    }
+    let normal = execute(&db, &model, &plan, ExecOptions::default()).unwrap();
+    assert_eq!(normal.features.rows(), 0);
+}
+
 #[test]
 fn model_free_skeleton_refreshes_identically_under_any_model() {
     let mut rng = RainRng::seed_from_u64(7);

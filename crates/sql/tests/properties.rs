@@ -47,14 +47,15 @@ fn formula(rng: &mut RainRng, n_vars: u32, depth: u32) -> BoolProv {
 
 /// Random well-formed binary class probabilities for `n_vars` variables.
 fn probs(rng: &mut RainRng, n_vars: usize) -> Probs {
-    Probs {
-        p: (0..n_vars)
-            .map(|_| {
+    Probs::new(
+        2,
+        (0..n_vars)
+            .flat_map(|_| {
                 let p = rng.uniform_range(0.01, 0.99);
-                vec![1.0 - p, p]
+                [1.0 - p, p]
             })
             .collect(),
-    }
+    )
 }
 
 /// At degenerate (0/1) probabilities the relaxation must agree with the
@@ -67,16 +68,17 @@ fn relaxation_exact_at_corners() {
         let f = formula(&mut rng, 4, 4);
         let bits = rng.below(16) as u32;
         let preds: Vec<usize> = (0..4).map(|i| ((bits >> i) & 1) as usize).collect();
-        let p = Probs {
-            p: preds
+        let p = Probs::new(
+            2,
+            preds
                 .iter()
-                .map(|&c| {
-                    let mut row = vec![0.0, 0.0];
+                .flat_map(|&c| {
+                    let mut row = [0.0, 0.0];
                     row[c] = 1.0;
                     row
                 })
                 .collect(),
-        };
+        );
         assert_eq!(
             f.eval_discrete(&preds) as u8 as f64,
             f.eval_relaxed(&p),
@@ -110,11 +112,11 @@ fn formula_gradients_match_fd() {
         for var in 0..3u32 {
             for class in 0..2usize {
                 let mut up = p.clone();
-                up.p[var as usize][class] += eps;
+                up.row_mut(var as usize)[class] += eps;
                 let mut dn = p.clone();
-                dn.p[var as usize][class] -= eps;
+                dn.row_mut(var as usize)[class] -= eps;
                 let fd = (cell.eval_relaxed(&up) - cell.eval_relaxed(&dn)) / (2.0 * eps);
-                let got = g.g.get(&var).map_or(0.0, |v| v[class]);
+                let got = g.row(var as usize)[class];
                 assert!(
                     (fd - got).abs() < 1e-5,
                     "seed {seed} var {var} class {class}: fd {fd} vs {got}"
@@ -148,7 +150,7 @@ fn count_relaxation_is_exact_expectation() {
             })
             .collect();
         let cell = CellProv::Sum(std::sync::Arc::new(AggSum { terms }));
-        let expect: f64 = classes.iter().enumerate().map(|(i, &c)| p.p[i][c]).sum();
+        let expect: f64 = classes.iter().enumerate().map(|(i, &c)| p.row(i)[c]).sum();
         assert!(
             (cell.eval_relaxed(&p) - expect).abs() < 1e-12,
             "seed {seed}"
@@ -355,16 +357,16 @@ fn preds_for(reg: &PredVarRegistry, assign: &HashMap<(String, usize), usize>) ->
 }
 
 fn probs_for(reg: &PredVarRegistry, assign: &HashMap<(String, usize), f64>) -> Probs {
-    Probs {
-        p: reg
-            .infos()
+    Probs::new(
+        2,
+        reg.infos()
             .iter()
-            .map(|i| {
+            .flat_map(|i| {
                 let p = assign[&(i.table.clone(), i.row)];
-                vec![1.0 - p, p]
+                [1.0 - p, p]
             })
             .collect(),
-    }
+    )
 }
 
 /// All `(table, row)` keys either registry knows.
